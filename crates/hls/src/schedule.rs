@@ -107,13 +107,11 @@ fn schedule_block(
     let insts = &f.block(block).insts;
     // finish[i] = cycle *after* which the result is usable; chain[i] =
     // accumulated combinational delay within its finish cycle.
-    let mut start: HashMap<InstId, u32> = HashMap::new();
     let mut finish: HashMap<InstId, u32> = HashMap::new();
     let mut chain: HashMap<InstId, u32> = HashMap::new();
     let mut ops: Vec<(InstId, u32)> = Vec::new();
 
     let mut last_effect_issue: i64 = -1;
-    let mut last_mem_free: u32 = 0; // bus serialization point
     let mut div_free: u32 = 0; // serial divider availability
     let mut mul_busy: HashMap<u32, u32> = HashMap::new(); // cycle -> count
     let mut depth: u32 = 1;
@@ -122,7 +120,6 @@ fn schedule_block(
         let inst = f.inst(iid);
         if inst.op.is_phi() {
             // Resolved as muxes on block entry: available at cycle 0.
-            start.insert(iid, 0);
             finish.insert(iid, 0);
             chain.insert(iid, 0);
             ops.push((iid, 0));
@@ -204,11 +201,9 @@ fn schedule_block(
             }
             if is_effect(&inst.op) && !rom {
                 last_effect_issue = s as i64;
-                last_mem_free = last_mem_free.max(s + c.latency);
             }
             (s, s + c.latency, 0)
         };
-        start.insert(iid, s);
         finish.insert(iid, fin);
         chain.insert(iid, ch);
         ops.push((iid, s));
@@ -234,7 +229,8 @@ fn schedule_block(
 
 /// Loop pipelining: for an innermost loop whose body is a single block,
 /// compute the initiation interval II = max(RecMII, ResMII).
-fn compute_ii(f: &Function, block: BlockId, sched: &BlockSchedule) -> u32 {
+/// `owner` is [`Function::inst_blocks`].
+fn compute_ii(f: &Function, block: BlockId, owner: &[Option<BlockId>]) -> u32 {
     // ResMII: serialized resources — memory/queue ops share one bus port;
     // each divider occupies HW_DIV_LATENCY cycles.
     let mut mem_ops = 0u32;
@@ -254,14 +250,13 @@ fn compute_ii(f: &Function, block: BlockId, sched: &BlockSchedule) -> u32 {
     // RecMII: longest dataflow cycle through a loop phi, measured as the
     // path cost (in chain units: latency*BUDGET + combinational delay)
     // from the phi to its latch operand.
-    let _ = sched;
     let mut rec_mii = 1u32;
     for &iid in &f.block(block).insts {
         if let Op::Phi(incoming) = &f.inst(iid).op {
             for (pred, v) in incoming {
                 if *pred == block {
                     if let Value::Inst(latch) = v {
-                        let units = longest_path_units(f, block, iid, *latch);
+                        let units = longest_path_units(f, owner, block, iid, *latch);
                         rec_mii = rec_mii.max(units.div_ceil(CHAIN_BUDGET).max(1));
                     }
                 }
@@ -273,7 +268,13 @@ fn compute_ii(f: &Function, block: BlockId, sched: &BlockSchedule) -> u32 {
 
 /// Longest DFG path cost (chain units) from `phi` to `target` within one
 /// block; 0 if `target` doesn't depend on `phi`.
-fn longest_path_units(f: &Function, block: BlockId, phi: InstId, target: InstId) -> u32 {
+fn longest_path_units(
+    f: &Function,
+    owner: &[Option<BlockId>],
+    block: BlockId,
+    phi: InstId,
+    target: InstId,
+) -> u32 {
     // Memoized DFS over block-local operands.
     fn walk(
         f: &Function,
@@ -307,9 +308,8 @@ fn longest_path_units(f: &Function, block: BlockId, phi: InstId, target: InstId)
         memo.insert(node, r);
         r
     }
-    let owner = f.inst_blocks();
     let mut memo = HashMap::new();
-    walk(f, block, phi, target, &mut memo, &owner).unwrap_or(0)
+    walk(f, block, phi, target, &mut memo, owner).unwrap_or(0)
 }
 
 /// Schedule one function.
@@ -323,6 +323,7 @@ pub fn schedule_function(
     let mut blocks: Vec<BlockSchedule> =
         f.block_ids().map(|b| schedule_block(m, f, b, opts, &mut usage)).collect();
 
+    let owner = f.inst_blocks();
     // Loop pipelining for innermost single-block loops.
     if opts.loop_pipelining {
         let dt = DomTree::new(f);
@@ -331,7 +332,7 @@ pub fn schedule_function(
             let lp = &li.loops[l];
             if lp.children.is_empty() && lp.blocks.len() == 1 {
                 let b = lp.header;
-                let ii = compute_ii(f, b, &blocks[b.index()]);
+                let ii = compute_ii(f, b, &owner);
                 if ii < blocks[b.index()].depth {
                     blocks[b.index()].ii = Some(ii);
                 }
@@ -359,33 +360,22 @@ pub fn schedule_function(
     // Live values across states: results used in a later cycle or block.
     let sched_start: HashMap<InstId, u32> =
         blocks.iter().flat_map(|b| b.ops.iter().copied()).collect();
-    let owner = f.inst_blocks();
-    let mut live = 0u32;
-    for (b, iid) in f.inst_ids_in_layout() {
-        let inst = f.inst(iid);
-        if inst.ty == twill_ir::Ty::Void {
-            continue;
-        }
-        let my_start = sched_start.get(&iid).copied().unwrap_or(0);
-        let mut crosses = false;
-        // Does any user sit in a later state or another block?
-        for (ub, uid) in f.inst_ids_in_layout() {
-            let mut uses = false;
-            f.inst(uid).op.for_each_value(|v| {
-                if v == Value::Inst(iid) {
-                    uses = true;
-                }
-            });
-            if uses && (ub != b || sched_start.get(&uid).copied().unwrap_or(0) > my_start) {
-                crosses = true;
-                break;
+    let start_of = |i: InstId| sched_start.get(&i).copied().unwrap_or(0);
+    // One sweep over every use: a value crosses when a user sits in a later
+    // state or in another block.
+    let layout = f.inst_ids_in_layout();
+    let mut crosses = vec![false; f.insts.len()];
+    for &(ub, uid) in &layout {
+        f.inst(uid).op.for_each_value(|v| {
+            if let Value::Inst(d) = v {
+                crosses[d.index()] |= owner[d.index()] != Some(ub) || start_of(uid) > start_of(d);
             }
-        }
-        let _ = owner[iid.index()];
-        if crosses {
-            live += 1;
-        }
+        });
     }
+    let live = layout
+        .iter()
+        .filter(|&&(_, i)| f.inst(i).ty != twill_ir::Ty::Void && crosses[i.index()])
+        .count() as u32;
 
     let states = blocks.iter().map(|b| b.depth).sum();
     FuncSchedule { func: func_id, blocks, states, peak_units: peak, live_values: live }

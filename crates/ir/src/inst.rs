@@ -408,15 +408,26 @@ impl Op {
 
     /// Successor blocks of a terminator (empty for non-terminators/ret).
     pub fn successors(&self) -> Vec<BlockId> {
+        let mut v = Vec::new();
+        self.for_each_successor(|b| v.push(b));
+        v
+    }
+
+    /// Visit successor block ids of a terminator, in [`Op::successors`] order.
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Op::Br(t) => vec![*t],
-            Op::CondBr(_, t, e) => vec![*t, *e],
-            Op::Switch(_, cases, default) => {
-                let mut v: Vec<BlockId> = cases.iter().map(|(_, b)| *b).collect();
-                v.push(*default);
-                v
+            Op::Br(t) => f(*t),
+            Op::CondBr(_, t, e) => {
+                f(*t);
+                f(*e);
             }
-            _ => Vec::new(),
+            Op::Switch(_, cases, default) => {
+                for (_, b) in cases {
+                    f(*b);
+                }
+                f(*default);
+            }
+            _ => {}
         }
     }
 

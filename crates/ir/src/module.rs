@@ -215,13 +215,22 @@ impl Function {
     /// A block appears once per incoming *edge*, so a `condbr` with both
     /// targets equal contributes two entries.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in self.block_ids() {
-            for s in self.successors(b) {
-                preds[s.index()].push(b);
+        let mut preds = Vec::new();
+        self.fill_predecessors(&mut preds);
+        preds
+    }
+
+    /// [`Function::predecessors`] into `preds`, reusing its buffers (for
+    /// passes that recompute the table after every edit). Each list is in
+    /// block order; a block without a terminator contributes no edges.
+    pub fn fill_predecessors(&self, preds: &mut Vec<Vec<BlockId>>) {
+        preds.resize_with(self.blocks.len(), Vec::new);
+        preds.iter_mut().for_each(Vec::clear);
+        for (b, blk) in self.blocks.iter().enumerate() {
+            if let Some(t) = blk.terminator() {
+                self.inst(t).op.for_each_successor(|s| preds[s.index()].push(BlockId::new(b)));
             }
         }
-        preds
     }
 
     /// Which block contains each live instruction (index = inst id).

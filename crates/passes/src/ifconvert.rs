@@ -8,8 +8,17 @@
 //!
 //! The speculated instructions are hoisted into B, each phi in M becomes a
 //! `select cond, v_true, v_false`, and B branches straight to M.
+//!
+//! The pass converts the lowest-index candidate and rescans from the
+//! start, until none is left. A conversion makes only its arms
+//! unreachable. They are emptied in place as tombstones and the converted
+//! phis go into one substitution table ([`DeferredEdits`]), so a rescan
+//! costs one predecessor table and one scan. Both are settled at exit,
+//! where `remove_unreachable_blocks` runs once, only if something was
+//! converted. Blocks that were unreachable on entry drop out of the scan
+//! from the first conversion on.
 
-use std::collections::HashSet;
+use crate::utils::DeferredEdits;
 use twill_ir::{BlockId, Function, InstId, Op, Ty, Value};
 
 /// Maximum instructions speculated per arm.
@@ -17,138 +26,120 @@ pub const MAX_SPECULATED: usize = 24;
 
 pub fn ifconvert(f: &mut Function) -> bool {
     let mut changed = false;
-    loop {
-        let mut did = false;
-        'outer: for b in 0..f.blocks.len() {
-            let b = BlockId::new(b);
-            let Some(term) = f.block(b).terminator() else { continue };
-            let Op::CondBr(cond, t, e) = f.inst(term).op else { continue };
-            if t == e {
-                continue;
-            }
-            // Identify the shape.
-            let (arm_t, arm_f, merge) = match (diamond_arm(f, b, t), diamond_arm(f, b, e)) {
-                // Full diamond: both arms are pure pass-through blocks with
-                // the same successor.
-                (Some((mt, _)), Some((mf, _))) if mt == mf && t != mf && e != mt => {
-                    (Some(t), Some(e), mt)
-                }
-                _ => {
-                    // Triangle: one arm falls straight to the other target.
-                    if let Some((mt, _)) = diamond_arm(f, b, t) {
-                        if mt == e {
-                            (Some(t), None, e)
-                        } else {
-                            continue;
-                        }
-                    } else if let Some((mf, _)) = diamond_arm(f, b, e) {
-                        if mf == t {
-                            (None, Some(e), t)
-                        } else {
-                            continue;
-                        }
-                    } else {
-                        continue;
-                    }
-                }
-            };
-            // The merge must not have other predecessors (phis stay simple)
-            // and the arms must have exactly one predecessor (b).
-            let preds = f.predecessors();
-            let mut expected: Vec<BlockId> = vec![b];
-            if let Some(a) = arm_t {
-                expected.push(a);
-                if preds[a.index()].len() != 1 {
-                    continue;
+    let mut edits = DeferredEdits::default();
+    let mut preds = Vec::new();
+    while let Some(d) = find_candidate(f, &mut preds) {
+        convert(f, d, &mut edits);
+        if !changed {
+            // A converted function leaves without unreachable blocks, and
+            // no rescan looks at one; a function with nothing to convert
+            // is returned untouched. So the first conversion retires every
+            // block unreachable on entry, to be dropped at exit with the
+            // arms.
+            let reachable = crate::utils::reachable_blocks(f);
+            for (blk, live) in f.blocks.iter_mut().zip(reachable) {
+                if !live {
+                    blk.insts.clear();
                 }
             }
-            if let Some(a) = arm_f {
-                expected.push(a);
-                if preds[a.index()].len() != 1 {
-                    continue;
-                }
-            }
-            let mut mp: Vec<BlockId> = preds[merge.index()].clone();
-            mp.sort();
-            let _ = &expected;
-            // For a full diamond b is not a pred of merge; for a triangle
-            // it is.
-            let mut exp_sorted = match (arm_t, arm_f) {
-                (Some(at), Some(af)) => vec![at, af],
-                (Some(at), None) => vec![b, at],
-                (None, Some(af)) => vec![b, af],
-                (None, None) => continue,
-            };
-            exp_sorted.sort();
-            if mp != exp_sorted {
-                continue;
-            }
-
-            // Hoist arms into b (before the terminator).
-            let term_pos = f.block(b).insts.len() - 1;
-            let mut insert_at = term_pos;
-            for arm in [arm_t, arm_f].into_iter().flatten() {
-                let moved: Vec<InstId> = f.block(arm).insts.clone();
-                // last is the Br; move everything before it.
-                for &iid in &moved[..moved.len() - 1] {
-                    f.block_mut(b).insts.insert(insert_at, iid);
-                    insert_at += 1;
-                }
-                let keep_br = *moved.last().unwrap();
-                f.block_mut(arm).insts = vec![keep_br];
-            }
-
-            // Convert merge phis to selects placed before the terminator.
-            let phis: Vec<InstId> = f
-                .block(merge)
-                .insts
-                .iter()
-                .copied()
-                .take_while(|&i| f.inst(i).op.is_phi())
-                .collect();
-            for phi in phis {
-                let (vt, vf, ty) = {
-                    let inst = f.inst(phi);
-                    let Op::Phi(incoming) = &inst.op else { unreachable!() };
-                    let from = |blk: BlockId| {
-                        incoming
-                            .iter()
-                            .find(|(p, _)| *p == blk)
-                            .map(|(_, v)| *v)
-                            .expect("phi missing incoming")
-                    };
-                    let vt = from(arm_t.unwrap_or(b));
-                    let vf = from(arm_f.unwrap_or(b));
-                    (vt, vf, inst.ty)
-                };
-                // The select inherits the merged phi's source line.
-                let sel = f.create_inst_at(Op::Select(cond, vt, vf), ty, f.loc(phi));
-                f.block_mut(b).insts.insert(insert_at, sel);
-                insert_at += 1;
-                // Phi becomes dead; replace its uses.
-                f.replace_all_uses(Value::Inst(phi), Value::Inst(sel));
-                let pos = f.block(merge).insts.iter().position(|&x| x == phi).unwrap();
-                f.block_mut(merge).insts.remove(pos);
-            }
-
-            // Rewrite b's terminator to jump straight to merge; arms become
-            // unreachable.
-            f.inst_mut(term).op = Op::Br(merge);
-            did = true;
-            changed = true;
-            break 'outer;
         }
-        if !did {
-            break;
-        }
-        crate::utils::remove_unreachable_blocks(f);
+        changed = true;
+    }
+    if changed {
+        edits.finish(f);
     }
     changed
 }
 
+/// A convertible shape: `head` branches on its condition to the true and
+/// false arms (a missing arm is the edge straight to `merge`).
+struct Diamond {
+    head: BlockId,
+    arm_t: Option<BlockId>,
+    arm_f: Option<BlockId>,
+    merge: BlockId,
+}
+
+/// The convertible shape with the lowest-index head, if any.
+fn find_candidate(f: &Function, preds: &mut Vec<Vec<BlockId>>) -> Option<Diamond> {
+    f.fill_predecessors(preds);
+    for b in f.block_ids() {
+        let Some(term) = f.block(b).terminator() else { continue };
+        let Op::CondBr(_, t, e) = f.inst(term).op else { continue };
+        if t == e {
+            continue;
+        }
+        // Identify the shape.
+        let (arm_t, arm_f, merge) = match (diamond_arm(f, t), diamond_arm(f, e)) {
+            // Full diamond: both arms are pure pass-through blocks with the
+            // same successor.
+            (Some(mt), Some(mf)) if mt == mf && t != mf && e != mt => (Some(t), Some(e), mt),
+            // Triangle: one arm falls straight to the other target.
+            (Some(mt), _) if mt == e => (Some(t), None, e),
+            (Some(_), _) => continue,
+            (None, Some(mf)) if mf == t => (None, Some(e), t),
+            (None, _) => continue,
+        };
+        // The arms must have exactly one predecessor (b), and the merge no
+        // others (phis stay simple): for a full diamond b is not a pred of
+        // merge; for a triangle it is. Pred lists are in block order.
+        if [arm_t, arm_f].into_iter().flatten().any(|a| preds[a.index()].len() != 1) {
+            continue;
+        }
+        let mut expected = [arm_t.unwrap_or(b), arm_f.unwrap_or(b)];
+        expected.sort();
+        if preds[merge.index()] != expected {
+            continue;
+        }
+        return Some(Diamond { head: b, arm_t, arm_f, merge });
+    }
+    None
+}
+
+/// Hoist the arms into the head, turn the merge phis into selects, and
+/// branch straight to the merge. The arms are left as tombstones.
+fn convert(f: &mut Function, d: Diamond, edits: &mut DeferredEdits) {
+    let Diamond { head: b, arm_t, arm_f, merge } = d;
+    let term = f.block(b).terminator().unwrap();
+    let Op::CondBr(cond, ..) = f.inst(term).op else { unreachable!() };
+    // Hoist arms into b (before the terminator).
+    let mut insert_at = f.block(b).insts.len() - 1;
+    for arm in [arm_t, arm_f].into_iter().flatten() {
+        let mut moved = std::mem::take(&mut f.block_mut(arm).insts);
+        moved.pop(); // the arm's `br`
+        let n = moved.len();
+        f.block_mut(b).insts.splice(insert_at..insert_at, moved);
+        insert_at += n;
+    }
+
+    // Convert merge phis to selects placed before the terminator.
+    let n_phis = f.block(merge).insts.iter().take_while(|&&i| f.inst(i).op.is_phi()).count();
+    let phis: Vec<InstId> = f.block_mut(merge).insts.drain(..n_phis).collect();
+    for phi in phis {
+        let (vt, vf, ty) = {
+            let inst = f.inst(phi);
+            let Op::Phi(incoming) = &inst.op else { unreachable!() };
+            let from = |blk: BlockId| {
+                incoming
+                    .iter()
+                    .find(|(p, _)| *p == blk)
+                    .map(|(_, v)| *v)
+                    .expect("phi missing incoming")
+            };
+            (from(arm_t.unwrap_or(b)), from(arm_f.unwrap_or(b)), inst.ty)
+        };
+        // The select inherits the merged phi's source line.
+        let sel = f.create_inst_at(Op::Select(cond, vt, vf), ty, f.loc(phi));
+        f.block_mut(b).insts.insert(insert_at, sel);
+        insert_at += 1;
+        edits.replace_uses(phi, Value::Inst(sel));
+    }
+    f.inst_mut(term).op = Op::Br(merge);
+}
+
 /// If `arm` is a pure pass-through block (only speculatable instructions,
-/// ends in an unconditional branch), return (successor, inst count).
-fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, usize)> {
+/// ends in an unconditional branch), return its successor.
+fn diamond_arm(f: &Function, arm: BlockId) -> Option<BlockId> {
     let blk = f.block(arm);
     let term = blk.terminator()?;
     let Op::Br(succ) = f.inst(term).op else { return None };
@@ -156,7 +147,6 @@ fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, u
     if body.len() > MAX_SPECULATED {
         return None;
     }
-    let mut seen: HashSet<InstId> = HashSet::new();
     for &iid in body {
         let inst = f.inst(iid);
         if inst.op.is_phi() || inst.op.has_side_effect() || inst.op.is_terminator() {
@@ -169,9 +159,8 @@ fn diamond_arm(f: &Function, _from: BlockId, arm: BlockId) -> Option<(BlockId, u
         if inst.ty == Ty::Void {
             return None;
         }
-        seen.insert(iid);
     }
-    Some((succ, body.len()))
+    Some(succ)
 }
 
 #[cfg(test)]
@@ -329,6 +318,102 @@ bb6:
         );
         assert_eq!(out.matches("select").count(), 2, "{out}");
         assert!(!out.contains("condbr"), "{out}");
+    }
+
+    #[test]
+    fn outer_diamond_reads_inner_selects() {
+        // The inner diamond (bb0) converts first. The outer one (bb3) then
+        // branches on the inner phi %3 and merges the inner phi %4; both
+        // must end up as the inner selects, never as the removed phis.
+        for input in [5, 20, -5, -3] {
+            let src = r#"
+func @main() -> i32 {
+bb0:
+  %0 = in
+  %c = cmp sgt %0, 0:i32
+  condbr %c, bb1, bb2
+bb1:
+  %1 = cmp slt %0, 10:i32
+  br bb3
+bb2:
+  %2 = cmp eq %0, -5:i32
+  br bb3
+bb3:
+  %3 = phi i1 [bb1: %1], [bb2: %2]
+  %4 = phi i32 [bb1: 7:i32], [bb2: 9:i32]
+  condbr %3, bb4, bb5
+bb4:
+  %5 = add i32 %4, 1:i32
+  br bb6
+bb5:
+  br bb6
+bb6:
+  %6 = phi i32 [bb4: %5], [bb5: %4]
+  out %6
+  ret %6
+}
+"#;
+            let out = check(src, vec![input]);
+            assert_eq!(out.matches("select").count(), 3, "{out}");
+            assert!(!out.contains("phi") && !out.contains("condbr"), "{out}");
+            let m = parse_module(&out).unwrap();
+            let f = &m.funcs[0];
+            let is_select =
+                |v: Value| matches!(v, Value::Inst(i) if matches!(f.inst(i).op, Op::Select(..)));
+            let outer = f
+                .inst_ids_in_layout()
+                .into_iter()
+                .filter_map(|(_, i)| match f.inst(i).op {
+                    Op::Select(c, t, e) if f.inst(i).ty == Ty::I32 && is_select(c) => Some((t, e)),
+                    _ => None,
+                })
+                .collect::<Vec<_>>();
+            assert_eq!(outer.len(), 1, "outer select branches on the inner select: {out}");
+            assert!(is_select(outer[0].1), "outer select merges the inner select: {out}");
+        }
+    }
+
+    #[test]
+    fn unreachable_blocks_leave_once_something_converts() {
+        // bb7 is unreachable and a third pred of bb6, which blocks the
+        // second diamond until the first conversion drops bb7.
+        let src = r#"
+func @main() -> i32 {
+bb0:
+  %0 = in
+  %c1 = cmp sgt %0, 0:i32
+  condbr %c1, bb1, bb2
+bb1:
+  %1 = add i32 %0, 1:i32
+  br bb3
+bb2:
+  %2 = add i32 %0, 2:i32
+  br bb3
+bb3:
+  %3 = phi i32 [bb1: %1], [bb2: %2]
+  %c2 = cmp slt %3, 10:i32
+  condbr %c2, bb4, bb5
+bb4:
+  %4 = mul i32 %3, 3:i32
+  br bb6
+bb5:
+  br bb6
+bb6:
+  %5 = phi i32 [bb4: %4], [bb5: %3], [bb7: 0:i32]
+  out %5
+  ret %5
+bb7:
+  br bb6
+}
+"#;
+        let out = check(src, vec![4]);
+        assert_eq!(out.matches("select").count(), 2, "{out}");
+        assert!(!out.contains("bb7") && !out.contains("condbr"), "{out}");
+        // With nothing to convert, the function is left as it was.
+        let src = "func @main() -> i32 {\nbb0:\n  ret 0:i32\nbb1:\n  ret 1:i32\n}\n";
+        let mut m = parse_module(src).unwrap();
+        assert!(!ifconvert(&mut m.funcs[0]));
+        assert_eq!(m.funcs[0].blocks.len(), 2);
     }
 
     #[test]

@@ -8,24 +8,39 @@
 //! * collapses `condbr c, t, t` into `br t`,
 //! * deduplicates identical phi incoming entries.
 //!
-//! Every rewrite preserves phi correctness; the pass runs to fixpoint.
+//! Every rewrite preserves phi correctness; the pass runs to fixpoint in
+//! rounds. Each round collapses every `condbr c, t, t`, then merges the
+//! lowest-index candidate block, then forwards the lowest-index empty
+//! block. None of these rewrites makes a block unreachable, so unreachable
+//! blocks are removed once, up front. Removed blocks stay behind as empty
+//! tombstones and merged phis go into one substitution table
+//! ([`DeferredEdits`]); both are settled once, when the fixpoint is
+//! reached. A round therefore costs one scan and one predecessor table
+//! per rewrite.
 
+use crate::utils::DeferredEdits;
 use std::collections::HashSet;
-use twill_ir::{BlockId, Function, Op, Value};
+use twill_ir::{BlockId, Function, Op};
 
 pub fn simplifycfg(f: &mut Function) -> bool {
-    let mut changed_any = false;
+    let mut changed_any = crate::utils::remove_unreachable_blocks(f);
+    let mut edits = DeferredEdits::default();
+    let mut preds = Vec::new();
     loop {
-        let mut changed = false;
-        changed |= crate::utils::remove_unreachable_blocks(f);
-        changed |= collapse_same_target_condbr(f);
-        changed |= merge_into_predecessor(f);
-        changed |= forward_empty_blocks(f);
-        changed |= crate::utils::remove_unreachable_blocks(f);
-        changed_any |= changed;
+        let mut changed = collapse_same_target_condbr(f);
+        f.fill_predecessors(&mut preds);
+        if merge_into_predecessor(f, &preds, &mut edits) {
+            changed = true;
+            f.fill_predecessors(&mut preds);
+        }
+        changed |= forward_empty_blocks(f, &preds);
         if !changed {
             break;
         }
+        changed_any = true;
+    }
+    if changed_any {
+        edits.finish(f);
     }
     changed_any
 }
@@ -61,70 +76,58 @@ fn dedup_phi_entries(f: &mut Function, b: BlockId) {
     }
 }
 
-/// Merge block `s` into `p` when `p -> s` is the only edge out of `p` and
-/// into `s`.
-fn merge_into_predecessor(f: &mut Function) -> bool {
-    let preds = f.predecessors();
-    for si in 0..f.blocks.len() {
+/// Merge the first block `s` into `p` when `p -> s` is the only edge out of
+/// `p` and into `s`. `s` is left as a tombstone.
+fn merge_into_predecessor(
+    f: &mut Function,
+    preds: &[Vec<BlockId>],
+    edits: &mut DeferredEdits,
+) -> bool {
+    for (si, ps) in preds.iter().enumerate() {
         let s = BlockId::new(si);
         if s == f.entry {
             continue;
         }
-        let ps = &preds[s.index()];
-        if ps.len() != 1 {
-            continue;
-        }
-        let p = ps[0];
+        let &[p] = ps.as_slice() else { continue };
         if p == s {
             continue; // self-loop
         }
-        if f.successors(p).len() != 1 {
-            continue;
-        }
         // p ends in `br s`; merge.
         let term = f.block(p).terminator().unwrap();
+        let mut n_succs = 0;
+        f.inst(term).op.for_each_successor(|_| n_succs += 1);
+        if n_succs != 1 {
+            continue;
+        }
         debug_assert!(matches!(f.inst(term).op, Op::Br(_)));
         // Phis in s have a single incoming (from p): replace with the value.
-        let s_insts = f.block(s).insts.clone();
+        let s_insts = std::mem::take(&mut f.block_mut(s).insts);
         let mut tail: Vec<twill_ir::InstId> = Vec::new();
         for iid in s_insts {
-            let is_phi = f.inst(iid).op.is_phi();
-            if is_phi {
-                let v = match &f.inst(iid).op {
-                    Op::Phi(inc) => {
-                        debug_assert_eq!(inc.len(), 1);
-                        inc[0].1
-                    }
-                    _ => unreachable!(),
-                };
-                f.replace_all_uses(Value::Inst(iid), v);
-            } else {
-                tail.push(iid);
+            match &f.inst(iid).op {
+                Op::Phi(inc) => {
+                    debug_assert_eq!(inc.len(), 1);
+                    edits.replace_uses(iid, inc[0].1);
+                }
+                _ => tail.push(iid),
             }
         }
         // Remove p's terminator, append s's non-phi instructions.
         f.block_mut(p).insts.pop();
         f.block_mut(p).insts.extend(tail);
-        f.block_mut(s).insts.clear();
         // Phis in s's successors referring to s must now refer to p.
-        let succs_of_s: Vec<BlockId> =
-            f.block(p).terminator().map(|t| f.inst(t).op.successors()).unwrap_or_default();
-        for t in succs_of_s {
+        for t in f.successors(p) {
             crate::utils::retarget_phi_pred(f, t, s, p);
         }
-        // s is now empty/unreachable; compact.
-        let mut keep = vec![true; f.blocks.len()];
-        keep[s.index()] = false;
-        crate::utils::compact_blocks(f, &keep);
-        return true; // one merge per iteration keeps indices simple
+        return true; // one merge per round
     }
     false
 }
 
-/// Redirect predecessors of empty `br`-only blocks straight to the target.
-fn forward_empty_blocks(f: &mut Function) -> bool {
-    let preds = f.predecessors();
-    for ei in 0..f.blocks.len() {
+/// Redirect the predecessors of the first empty `br`-only block straight to
+/// its target. The empty block is left as a tombstone.
+fn forward_empty_blocks(f: &mut Function, preds: &[Vec<BlockId>]) -> bool {
+    for (ei, ps) in preds.iter().enumerate() {
         let e = BlockId::new(ei);
         if e == f.entry {
             continue;
@@ -137,7 +140,6 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
         if t == e {
             continue;
         }
-        let ps: Vec<BlockId> = preds[e.index()].clone();
         if ps.is_empty() {
             continue;
         }
@@ -146,14 +148,13 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
         // a predecessor of t, and that each pred appears only once.
         let t_has_phis = f.block(t).insts.first().map(|&i| f.inst(i).op.is_phi()).unwrap_or(false);
         if t_has_phis {
-            let t_preds: HashSet<BlockId> = f.predecessors()[t.index()].iter().copied().collect();
             let mut uniq = HashSet::new();
-            if ps.iter().any(|p| t_preds.contains(p) || !uniq.insert(*p)) {
+            if ps.iter().any(|p| preds[t.index()].contains(p) || !uniq.insert(*p)) {
                 continue;
             }
         }
         // Rewrite each pred's terminator edge e -> t.
-        for &p in &ps {
+        for &p in ps {
             let term = f.block(p).terminator().unwrap();
             f.inst_mut(term).op.for_each_successor_mut(|b| {
                 if *b == e {
@@ -168,7 +169,7 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
             if let Op::Phi(incoming) = op {
                 if let Some(pos) = incoming.iter().position(|(b, _)| *b == e) {
                     let (_, v) = incoming.remove(pos);
-                    for &p in &ps {
+                    for &p in ps {
                         incoming.push((p, v));
                     }
                 }
@@ -176,10 +177,7 @@ fn forward_empty_blocks(f: &mut Function) -> bool {
                 break;
             }
         }
-        // e is unreachable now; remove.
-        let mut keep = vec![true; f.blocks.len()];
-        keep[e.index()] = false;
-        crate::utils::compact_blocks(f, &keep);
+        f.block_mut(e).insts.clear();
         return true;
     }
     false
@@ -335,6 +333,79 @@ bb3:
         );
         assert!(out.contains("phi"), "{out}");
         assert!(out.contains("condbr"), "{out}");
+    }
+
+    #[test]
+    fn merged_phi_chain_resolves_transitively() {
+        // Round 1 merges bb1 into bb2, so %2 becomes %1; round 2 merges bb2
+        // into bb0, so %1 becomes %0. The add must end up reading %0, not a
+        // removed phi.
+        let (out, nblocks) = simplify_and_check(
+            r#"
+func @main() -> i32 {
+bb0:
+  %0 = in
+  br bb2
+bb1:
+  %2 = phi i32 [bb2: %1]
+  %3 = add i32 %2, 1:i32
+  out %3
+  ret %3
+bb2:
+  %1 = phi i32 [bb0: %0]
+  br bb1
+}
+"#,
+            vec![41],
+        );
+        assert_eq!(nblocks, 1, "{out}");
+        assert!(!out.contains("phi"), "{out}");
+        assert!(out.contains("add i32 %0, 1:i32"), "{out}");
+    }
+
+    #[test]
+    fn forwarding_into_multi_pred_phi_appends_entries_in_pred_order() {
+        // bb3 is empty with preds bb1 and bb2; its phi entry in bb6 is
+        // replaced by one entry per pred, appended in block order after the
+        // entries from bb4 and bb5 (renumbered bb3 and bb4).
+        for input in [vec![1, 1], vec![1, -1], vec![-1, 1], vec![-1, -1]] {
+            let (out, nblocks) = simplify_and_check(
+                r#"
+func @main() -> i32 {
+bb0:
+  %0 = in
+  %c = cmp sgt %0, 0:i32
+  condbr %c, bb1, bb2
+bb1:
+  %1 = in
+  %d = cmp sgt %1, 0:i32
+  condbr %d, bb3, bb4
+bb2:
+  %2 = in
+  %e = cmp sgt %2, 0:i32
+  condbr %e, bb3, bb5
+bb3:
+  br bb6
+bb4:
+  out 4:i32
+  br bb6
+bb5:
+  out 5:i32
+  br bb6
+bb6:
+  %3 = phi i32 [bb4: 40:i32], [bb3: 30:i32], [bb5: 50:i32]
+  out %3
+  ret %3
+}
+"#,
+                input,
+            );
+            assert_eq!(nblocks, 6, "{out}");
+            assert!(
+                out.contains("phi i32 [bb3: 40:i32], [bb4: 50:i32], [bb1: 30:i32], [bb2: 30:i32]"),
+                "{out}"
+            );
+        }
     }
 
     #[test]

@@ -114,6 +114,69 @@ pub fn retarget_phi_pred(f: &mut Function, tgt: BlockId, old_pred: BlockId, new_
     }
 }
 
+/// Edits of a pass that rewrites one spot of the CFG at a time and rescans
+/// (simplifycfg, ifconvert), applied once when the pass ends.
+///
+/// * A removed block is emptied in place and stays behind as a tombstone,
+///   so block ids stay stable between rounds. It has no terminator, hence
+///   no edges and no phis: every scan and [`Function::fill_predecessors`]
+///   skip it, and [`DeferredEdits::finish`] drops it as unreachable.
+/// * A removed phi goes into one substitution table instead of a
+///   [`Function::replace_all_uses`] sweep. The table is resolved
+///   transitively over the whole arena at the end, so every slot, live or
+///   dead, ends with the operands eager replacement would have given it
+///   (dead slots' block references are not maintained). Until then
+///   operands may still name removed phis; the passes only read operands
+///   to copy them, never to decide a rewrite.
+#[derive(Default)]
+pub struct DeferredEdits {
+    /// `subst[i]`: what every use of instruction `i` now means.
+    subst: Vec<Option<Value>>,
+}
+
+impl DeferredEdits {
+    /// Every use of `from` now means `to`.
+    pub fn replace_uses(&mut self, from: InstId, to: Value) {
+        let to = self.resolve(to);
+        if self.subst.len() <= from.index() {
+            self.subst.resize(from.index() + 1, None);
+        }
+        self.subst[from.index()] = Some(to);
+    }
+
+    /// Follow the table to its end, compressing the path walked. `to` is
+    /// resolved when recorded, so the only cycles are self-maps.
+    fn resolve(&mut self, v: Value) -> Value {
+        let next = |subst: &[Option<Value>], v: Value| match v {
+            Value::Inst(i) => subst.get(i.index()).copied().flatten().filter(|&n| n != v),
+            _ => None,
+        };
+        let mut end = v;
+        while let Some(n) = next(&self.subst, end) {
+            end = n;
+        }
+        let mut cur = v;
+        while let Some(n) = next(&self.subst, cur) {
+            if let Value::Inst(i) = cur {
+                self.subst[i.index()] = Some(end);
+            }
+            cur = n;
+        }
+        end
+    }
+
+    /// Rewrite every operand in the arena through the table, then drop the
+    /// tombstones (and any other unreachable block).
+    pub fn finish(mut self, f: &mut Function) {
+        if !self.subst.is_empty() {
+            for inst in &mut f.insts {
+                inst.op.for_each_value_mut(|v| *v = self.resolve(*v));
+            }
+        }
+        remove_unreachable_blocks(f);
+    }
+}
+
 /// Split the CFG edge `from -> to`, inserting a fresh block containing only
 /// a branch. Returns the new block. Handles phi retargeting in `to`.
 pub fn split_edge(f: &mut Function, from: BlockId, to: BlockId) -> BlockId {
