@@ -1,83 +1,26 @@
-//! Runs every experiment in sequence (the data source for EXPERIMENTS.md).
+//! Runs the paper's Chapter 6 experiments in-process (the data source for
+//! EXPERIMENTS.md).
 //!
 //! ```console
-//! all_experiments [--trace FILE] [--metrics FILE] [--obs-ring-capacity N]
+//! all_experiments [SECTION...]
 //! ```
 //!
-//! `--trace` / `--metrics` additionally run a traced hybrid of the
-//! blowfish benchmark (the §6.4 case study) and write the Perfetto
-//! `trace_event` JSON / metrics JSON for it; `--obs-ring-capacity`
-//! bounds the event ring for that traced run (default 2^22).
+//! With no arguments, prints every section in order: `table_6_1`,
+//! `table_6_2`, `fig_6_1` .. `fig_6_6`, `blowfish_tuned`. Section names
+//! select a subset, printed in that same order.
 
-use std::process::Command;
-
-use twill::experiments::benchmark_graph;
-use twill::Compiler;
-
-fn usage() -> ! {
-    eprintln!("usage: all_experiments [--trace FILE] [--metrics FILE] [--obs-ring-capacity N]");
-    std::process::exit(2);
-}
+use twill_bench::sections::SECTIONS;
 
 fn main() {
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut ring_capacity: usize = 1 << 22;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--trace" => trace = it.next(),
-            "--metrics" => metrics = it.next(),
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
-            _ => usage(),
-        }
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = names.iter().find(|n| SECTIONS.iter().all(|s| s.name != n.as_str())) {
+        let all: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+        eprintln!("all_experiments: unknown section {bad:?}");
+        eprintln!("usage: all_experiments [SECTION...]  (sections: {})", all.join(" "));
+        std::process::exit(2);
     }
-
-    // Run in-process for the tables to avoid rebuild churn.
-    for bin in
-        ["table_6_1", "table_6_2", "fig_6_1", "fig_6_2", "fig_6_3", "fig_6_4", "fig_6_5", "fig_6_6"]
-    {
-        println!("\n=== {bin} ===\n");
-        let status = Command::new(std::env::current_exe().unwrap().with_file_name(bin))
-            .status()
-            .expect("spawn experiment binary");
-        assert!(status.success(), "{bin} failed");
-    }
-    println!("\n=== blowfish tuned (§6.4) ===\n");
-    let t = twill::experiments::blowfish_tuned(None);
-    println!(
-        "default: {} cycles / {} queues; tuned: {} cycles / {} queues ({:.2}x vs pure HW)",
-        t.default_cycles, t.default_queues, t.tuned_cycles, t.tuned_queues, t.tuned_vs_hw
-    );
-
-    if trace.is_some() || metrics.is_some() {
-        let b = chstone::by_name("blowfish").unwrap();
-        let graph = benchmark_graph(&b);
-        let build = Compiler::new().partitions(b.partitions).build_on(&graph);
-        let input = chstone::input_for(b.name, b.default_scale);
-        let cfg = twill::SimulationConfig {
-            trace_events: if trace.is_some() { ring_capacity } else { 0 },
-            ..build.sim_config()
-        };
-        let rep = build.simulate_hybrid_with(input, &cfg).expect("hybrid simulation");
-        println!();
-        println!("{}", twill_obs::profile_report("blowfish hybrid profile", &rep.metrics(), None));
-        if let Some(f) = &trace {
-            let json = rep.trace_builder().spans(graph.spans()).build();
-            std::fs::write(f, json).expect("write trace");
-            println!("Perfetto trace written to {f} ({} event(s))", rep.events.len());
-        }
-        if rep.dropped_events > 0 {
-            eprintln!(
-                "all_experiments: WARN: trace truncated: {} event(s) dropped — raise --obs-ring-capacity",
-                rep.dropped_events
-            );
-        }
-        if let Some(f) = &metrics {
-            std::fs::write(f, rep.metrics().to_json()).expect("write metrics");
-            println!("metrics JSON written to {f}");
-        }
+    for s in SECTIONS.iter().filter(|s| names.is_empty() || names.iter().any(|n| n == s.name)) {
+        println!("\n=== {} ===\n", s.title);
+        (s.print)();
     }
 }

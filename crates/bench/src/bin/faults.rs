@@ -3,7 +3,6 @@
 //! ```console
 //! faults [--benches a,b,c] [--rates 1e-6,1e-5,1e-4] [--seed N]
 //!        [--attempts K] [--scale S] [--watchdog CYCLES] [--json FILE]
-//!        [--strict-obs] [--obs-ring-capacity N] [--no-fast-forward]
 //! ```
 //!
 //! Sweeps per-cycle fault rates across the CHStone suite, injecting queue
@@ -12,11 +11,12 @@
 //! corruption table. Each cell retries the hybrid with fresh derived
 //! seeds and degrades to pure software when every attempt fails.
 //!
-//! Exit status is non-zero when any cell's *served* output is corrupt
-//! (corruption that slipped past retry and fallback), or — with
-//! `--strict-obs` — when observability data was lost (dropped trace
+//! Every hybrid attempt arms the default event ring. Exit status is non-zero when
+//! any cell's *served* output is corrupt (corruption that slipped past
+//! retry and fallback) or when observability data was lost (dropped trace
 //! events or a truncated fault log). Fixed seeds make the `--json`
-//! artifact byte-identical across runs.
+//! artifact byte-identical across runs, and in both simulator loop modes
+//! (`TWILL_NO_FAST_FORWARD=1` selects the naive one).
 
 use std::process::ExitCode;
 use twill_bench::campaign::{run_campaign, CampaignOptions};
@@ -24,8 +24,7 @@ use twill_bench::campaign::{run_campaign, CampaignOptions};
 fn usage() -> ! {
     eprintln!(
         "usage: faults [--benches a,b,c] [--rates r1,r2] [--seed N] \
-         [--attempts K] [--scale S] [--watchdog CYCLES] [--json FILE] \
-         [--strict-obs] [--obs-ring-capacity N] [--no-fast-forward]"
+         [--attempts K] [--scale S] [--watchdog CYCLES] [--json FILE]"
     );
     std::process::exit(2);
 }
@@ -34,8 +33,6 @@ fn main() -> ExitCode {
     let mut opts = CampaignOptions::default();
     let mut benches = chstone::all();
     let mut json_out: Option<String> = None;
-    let mut strict_obs = false;
-    let mut ring_capacity = 1usize << 20;
 
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -69,19 +66,9 @@ fn main() -> ExitCode {
                 opts.watchdog = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--json" => json_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--strict-obs" => strict_obs = true,
-            "--no-fast-forward" => opts.fast_forward = false,
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
             _ => usage(),
         }
     }
-    if strict_obs {
-        // Arm the event ring so data loss is accounted, not invisible.
-        opts.trace_capacity = ring_capacity;
-    }
-
     eprintln!(
         "fault campaign: {} benchmark(s) x {} rate(s), seed {}, up to {} attempt(s)...",
         benches.len(),
@@ -104,8 +91,8 @@ fn main() -> ExitCode {
         eprintln!("faults: FAIL: a served output is corrupt");
         return ExitCode::FAILURE;
     }
-    if strict_obs && campaign.obs_data_lost() {
-        eprintln!("faults: --strict-obs: observability data was lost");
+    if campaign.obs_data_lost() {
+        eprintln!("faults: FAIL: observability data was lost");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -1,93 +1,55 @@
-//! Pipeline-level profiling of a CHStone benchmark's hybrid run.
+//! Pipeline-level profiling of CHStone benchmarks' hybrid runs.
 //!
 //! ```console
-//! profile [BENCH] [--scale N] [--trace FILE] [--metrics FILE]
-//!         [--metrics-text FILE] [--regmap-out FILE] [--dump-out FILE]
-//!         [--annotate-out FILE] [--folded-out FILE]
-//!         [--sample-interval N] [--timeline-out FILE] [--phases-out FILE]
-//!         [--obs-ring-capacity N] [--strict-obs] [--no-fast-forward]
+//! profile [BENCH] [--scale N] [--trace] [--obs-ring-capacity N]
+//!         [--sample-interval N] [--hw-counters] [--out DIR]
 //! ```
 //!
 //! With no benchmark name, profiles all eight. Prints the per-thread
 //! stall/utilization table (busy / queue-full / queue-empty / semaphore /
-//! memory-bus / module-bus / idle) and names the critical pipeline stage;
-//! `--trace` writes a Chrome/Perfetto `trace_event` JSON of the run
-//! (compiler stages + cycle timeline, open at <https://ui.perfetto.dev>),
-//! `--metrics` writes the structured metrics report as JSON,
-//! `--metrics-text` writes the same metrics in the Prometheus text
-//! exposition format, `--regmap-out`/`--dump-out` write the hardware
-//! performance-counter register map and the simulated word-for-word
-//! counter dump (DESIGN.md §14 readback artifacts),
-//! `--annotate-out` writes the benchmark's C source annotated with the
-//! per-line cycles/stall gutter, `--folded-out` writes folded-stack lines
-//! for flamegraph tooling. `--timeline-out` writes the interval-sampled
-//! counter timeline as JSON and `--phases-out` the phase-segmentation
-//! report (runs of intervals sharing a dominant stall-class signature,
-//! each named by its hottest C line); both default to one sample every
-//! 4096 cycles unless `--sample-interval` says otherwise, and both are
-//! the artifacts CI archives for the blowfish perf gate.
-//! `--obs-ring-capacity` bounds the event ring
-//! used with `--trace` (default 2^22 events; overflow warns on stderr,
-//! never silent — and exits non-zero under `--strict-obs`).
+//! memory-bus / module-bus / idle), names the critical pipeline stage,
+//! and under `--sample-interval` prints the phase report. `--out DIR`
+//! writes each benchmark's run record to `DIR/<bench>/` (file table in
+//! the `twill::record` module docs). Observability data loss — a trace
+//! ring that dropped events — exits non-zero.
+
+use std::process::ExitCode;
 
 use twill::experiments::benchmark_graph;
+use twill::record::{self, RunOptions};
 use twill::Compiler;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: profile [BENCH] [--scale N] [--trace FILE] [--metrics FILE] \
-         [--metrics-text FILE] [--regmap-out FILE] [--dump-out FILE] \
-         [--annotate-out FILE] [--folded-out FILE] [--sample-interval N] \
-         [--timeline-out FILE] [--phases-out FILE] [--obs-ring-capacity N] \
-         [--strict-obs] [--no-fast-forward]"
-    );
+    eprintln!("usage: profile [BENCH] [--scale N] {}", record::USAGE);
     std::process::exit(2);
 }
 
-fn main() {
+fn main() -> ExitCode {
+    let mut opts = RunOptions::default();
     let mut bench: Option<String> = None;
     let mut scale: Option<u32> = None;
-    let mut trace: Option<String> = None;
-    let mut metrics: Option<String> = None;
-    let mut metrics_text: Option<String> = None;
-    let mut regmap_out: Option<String> = None;
-    let mut dump_out: Option<String> = None;
-    let mut annotate_out: Option<String> = None;
-    let mut folded_out: Option<String> = None;
-    let mut sample_interval: Option<u64> = None;
-    let mut timeline_out: Option<String> = None;
-    let mut phases_out: Option<String> = None;
-    let mut ring_capacity: usize = 1 << 22;
-    let mut strict_obs = false;
-    let mut no_fast_forward = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        match opts.accept(&a, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("profile: {e}");
+                usage()
+            }
+        }
         match a.as_str() {
             "--scale" => {
                 scale = Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
             }
-            "--trace" => trace = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics" => metrics = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-text" => metrics_text = Some(it.next().unwrap_or_else(|| usage())),
-            "--regmap-out" => regmap_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--dump-out" => dump_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--annotate-out" => annotate_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--folded-out" => folded_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--sample-interval" => {
-                sample_interval =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--timeline-out" => timeline_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--phases-out" => phases_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--obs-ring-capacity" => {
-                ring_capacity = twill_bench::parse_ring_capacity(&mut it).unwrap_or_else(|| usage())
-            }
-            "--strict-obs" => strict_obs = true,
-            "--no-fast-forward" => no_fast_forward = true,
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') && bench.is_none() => bench = Some(other.to_string()),
             _ => usage(),
         }
+    }
+    if let Err(e) = opts.check() {
+        eprintln!("profile: {e}");
+        usage();
     }
 
     let benches: Vec<chstone::Benchmark> = match &bench {
@@ -99,39 +61,15 @@ fn main() {
         }
         None => chstone::all(),
     };
-    if benches.len() > 1
-        && (trace.is_some()
-            || metrics.is_some()
-            || metrics_text.is_some()
-            || regmap_out.is_some()
-            || dump_out.is_some()
-            || annotate_out.is_some()
-            || folded_out.is_some()
-            || timeline_out.is_some()
-            || phases_out.is_some())
-    {
-        eprintln!("profile: per-file output flags need a single benchmark");
-        std::process::exit(2);
-    }
 
     let mut obs_data_lost = false;
     for b in &benches {
         let graph = benchmark_graph(b);
-        let hw_counters = regmap_out.is_some() || dump_out.is_some();
         let build =
-            Compiler::new().partitions(b.partitions).hw_counters(hw_counters).build_on(&graph);
+            Compiler::new().partitions(b.partitions).hw_counters(opts.hw_counters).build_on(&graph);
         let input = chstone::input_for(b.name, scale.unwrap_or(b.default_scale));
-        let sampling = sample_interval.is_some() || timeline_out.is_some() || phases_out.is_some();
-        let cfg = twill::SimulationConfig {
-            trace_events: if trace.is_some() { ring_capacity } else { 0 },
-            // Phase reports name each phase's hottest C line, so
-            // `--phases-out` needs the line-granular profile too.
-            profile: annotate_out.is_some() || folded_out.is_some() || phases_out.is_some(),
-            sample_interval: sampling.then(|| sample_interval.unwrap_or(4096)),
-            fast_forward: !no_fast_forward && build.sim_config().fast_forward,
-            ..build.sim_config()
-        };
-        let rep = build.simulate_hybrid_with(input, &cfg).expect("hybrid simulation");
+        let rep =
+            build.simulate_hybrid_with(input, &opts.sim_config(&build)).expect("hybrid simulation");
         let c = graph.counters();
         let spans = graph.spans();
         println!(
@@ -142,63 +80,20 @@ fn main() {
                 Some(twill_obs::StageSection { spans: &spans, runs: c.runs(), hits: c.hits() }),
             )
         );
-
-        if let Some(f) = &trace {
-            let json = rep.trace_builder().spans(graph.spans()).build();
-            std::fs::write(f, json).expect("write trace");
-            println!("Perfetto trace written to {f} ({} event(s))", rep.events.len());
-        }
-        if let Some(f) = &metrics {
-            std::fs::write(f, rep.metrics().to_json()).expect("write metrics");
-            println!("metrics JSON written to {f}");
-        }
-        if let Some(f) = &metrics_text {
-            std::fs::write(f, rep.metrics().metrics_text()).expect("write text metrics");
-            println!("Prometheus text metrics written to {f}");
-        }
-        if let Some(f) = &regmap_out {
-            std::fs::write(f, build.regmap_json().as_bytes()).expect("write register map");
-            println!("counter register map written to {f}");
-        }
-        if let Some(f) = &dump_out {
-            std::fs::write(f, build.counter_bank(&rep).dump().to_json()).expect("write dump");
-            println!("hardware counter dump written to {f}");
-        }
-        if annotate_out.is_some() || folded_out.is_some() {
-            let sp = rep
-                .source_profile(&build.dswp().module)
-                .expect("source profile requested but missing");
-            if let Some(f) = &annotate_out {
-                let mut text = sp.annotate_source(b.source);
-                text.push('\n');
-                text.push_str(&sp.report(10));
-                std::fs::write(f, text).expect("write annotated source");
-                println!("annotated source written to {f}");
-            }
-            if let Some(f) = &folded_out {
-                std::fs::write(f, sp.folded_stacks()).expect("write folded stacks");
-                println!("folded stacks written to {f} (feed to flamegraph.pl / inferno)");
-            }
-        }
-        if let Some(f) = &timeline_out {
-            let t = rep.timeline.as_ref().expect("sampling was enabled");
-            std::fs::write(f, t.to_json()).expect("write timeline");
-            println!(
-                "sampled timeline written to {f} ({} interval(s) of {} cycles)",
-                t.intervals.len(),
-                t.sample_interval
-            );
-        }
-        if let Some(f) = &phases_out {
-            let t = rep.timeline.as_ref().expect("sampling was enabled");
-            let mut pr = twill_obs::segment(t);
-            let sp = rep
-                .source_profile(&build.dswp().module)
-                .expect("source profile requested but missing");
-            pr.annotate(&sp);
-            std::fs::write(f, pr.to_json()).expect("write phase report");
+        if let Some(pr) = record::phases(&build, &rep) {
             print!("{}", pr.render_text());
-            println!("phase report written to {f} ({} phase(s))", pr.phases.len());
+        }
+        if let Some(out) = &opts.out {
+            let dir = out.join(b.name);
+            match record::write(&dir, &opts, &build, b.source, Some(&rep), None) {
+                Ok(files) => {
+                    println!("run record written to {}: {}", dir.display(), files.join(", "))
+                }
+                Err(e) => {
+                    eprintln!("profile: cannot write the run record to {}: {e}", dir.display());
+                    return ExitCode::FAILURE;
+                }
+            }
         }
         if rep.dropped_events > 0 {
             obs_data_lost = true;
@@ -208,8 +103,8 @@ fn main() {
             );
         }
     }
-    if strict_obs && obs_data_lost {
-        eprintln!("profile: --strict-obs: observability data was lost");
-        std::process::exit(1);
+    if obs_data_lost {
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -11,6 +11,7 @@
 //! Everything is keyed off the campaign seed, so the same invocation
 //! produces byte-identical JSON twice.
 
+use twill::record::DEFAULT_RING_CAPACITY;
 use twill::{Compiler, FaultPlan, FaultSpec, SimulationConfig};
 use twill_obs::json;
 use twill_rt::SimError;
@@ -35,12 +36,6 @@ pub struct CampaignOptions {
     /// failure worth classifying, not worth simulating for billions of
     /// cycles).
     pub max_cycles: u64,
-    /// Event-ring capacity armed on every run (0 = tracing off). With
-    /// tracing armed, dropped events count as observability data loss.
-    pub trace_capacity: usize,
-    /// Run the simulator's event-driven fast-forward loop (the default;
-    /// false forces the naive tick-every-cycle loop for cross-checking).
-    pub fast_forward: bool,
 }
 
 impl Default for CampaignOptions {
@@ -52,8 +47,6 @@ impl Default for CampaignOptions {
             scale: 1,
             watchdog: 200_000,
             max_cycles: 20_000_000,
-            trace_capacity: 0,
-            fast_forward: true,
         }
     }
 }
@@ -158,8 +151,7 @@ pub fn run_campaign(benches: &[chstone::Benchmark], opts: &CampaignOptions) -> C
                     fault: Some(plan.reseeded(k)),
                     watchdog_window: opts.watchdog,
                     max_cycles: opts.max_cycles,
-                    trace_events: opts.trace_capacity,
-                    fast_forward: opts.fast_forward && build.sim_config().fast_forward,
+                    trace_events: DEFAULT_RING_CAPACITY,
                     ..build.sim_config()
                 };
                 let (attempt, report) = match build.simulate_hybrid_with(input.clone(), &cfg) {
@@ -212,12 +204,8 @@ pub fn run_campaign(benches: &[chstone::Benchmark], opts: &CampaignOptions) -> C
             if cell.served != "hybrid" {
                 // Degraded path: the whole program on the soft CPU,
                 // injection off — must produce the golden output.
-                let cfg = SimulationConfig {
-                    fault: None,
-                    fast_forward: opts.fast_forward && build.sim_config().fast_forward,
-                    ..build.sim_config()
-                };
-                let rep = twill_rt::simulate_pure_sw(build.prepared(), input.clone(), &cfg)
+                let rep = build
+                    .simulate_pure_sw(input.clone())
                     .unwrap_or_else(|e| panic!("{}: pure-SW fallback failed: {e}", b.name));
                 cell.final_ok = rep.output == golden;
             }

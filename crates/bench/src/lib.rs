@@ -1,19 +1,13 @@
-//! Shared helpers for the experiment binaries: printing, the perf
-//! baseline collector (`twill-bench baseline` / `compare` / the CI perf
-//! gate all measure through [`collect_baseline`]), and common CLI flags.
+//! Shared helpers for the experiment binaries: the paper's tables and
+//! figures ([`sections`]), the fault campaign, and the perf baseline
+//! collector (`twill-bench baseline` / `compare` / the CI perf gate all
+//! measure through [`collect_baseline`]).
 
 pub mod campaign;
-
-pub use twill::experiments;
-pub use twill::report::format_table;
+pub mod sections;
 
 use twill::Compiler;
 use twill_obs::baseline::{Baseline, BaselineEntry, StageTimings, SCHEMA_VERSION};
-
-/// Print a markdown-ish section header.
-pub fn section(title: &str) {
-    println!("\n## {title}\n");
-}
 
 /// Workload scale every baseline entry is recorded at (the scale the
 /// golden-cycle regression in `twill-rt` pins).
@@ -77,10 +71,4 @@ pub fn collect_baseline() -> Baseline {
         });
     }
     Baseline { schema_version: SCHEMA_VERSION, env: env_metadata(), entries, stages }
-}
-
-/// Parse a `--obs-ring-capacity N` occurrence shared by the bench bins
-/// and `twillc`: the event-ring bound used when tracing is armed.
-pub fn parse_ring_capacity(it: &mut impl Iterator<Item = String>) -> Option<usize> {
-    it.next().and_then(|v| v.parse().ok())
 }

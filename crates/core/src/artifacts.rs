@@ -438,7 +438,7 @@ impl BuildGraph {
 
     /// The counter register-map JSON artifact for `module` instrumented
     /// with agent tracks `threads`, memoized per (module, track list).
-    /// Emitted next to the Verilog by `twillc --emit-regmap`.
+    /// Written next to the Verilog as the run record's `regmap.json`.
     pub fn regmap_for(&self, module: &Module, module_hash: u64, threads: &[String]) -> Arc<String> {
         let key = {
             let mut h = Fnv::new();

@@ -2,85 +2,43 @@
 //!
 //! ```console
 //! twillc program.c [--partitions N] [--sw-fraction F] [--queue-depth D]
-//!        [--queue-depths q0=4,q1=32]
-//!        [--allow-recursion] [--run] [--input 1,2,3] [--emit-verilog FILE]
-//!        [--emit-ir FILE] [--stats] [--profile] [--annotate]
-//!        [--folded FILE] [--profile-json FILE] [--trace FILE]
-//!        [--metrics FILE] [--metrics-text FILE] [--compare BASELINE]
-//!        [--compare-profile PROFILE.json] [--compare-timeline TIMELINE.json]
-//!        [--sample-interval N] [--timeline-out FILE] [--phases]
-//!        [--obs-ring-capacity N]
-//!        [--strict-obs] [--fault-rate R] [--fault-seed N]
-//!        [--watchdog CYCLES] [--resilient] [--no-fast-forward]
-//!        [--hw-counters] [--emit-regmap FILE] [--counter-dump FILE]
-//!        [--tune] [--tune-report FILE] [--tune-trace FILE]
-//!        [--tune-seed N] [--tune-rounds N]
+//!        [--queue-depths q0=4,q1=32] [--allow-recursion]
+//!        [--run] [--input 1,2,3] [--stats] [--profile] [--compare PATH]
+//!        [--fault-rate R] [--fault-seed N] [--watchdog CYCLES] [--resilient]
+//!        [--tune] [--tune-seed N] [--tune-rounds N]
+//!        [--trace] [--obs-ring-capacity N] [--sample-interval N]
+//!        [--hw-counters] [--out DIR]
 //! ```
 //!
+//! `--out DIR` writes the run record: the Verilog, the partitioned IR and
+//! every artifact of the observed run under fixed file names (the table
+//! is in the `twill::record` module docs). `--out` never starts a
+//! simulation by itself; the hybrid runs under `--run`, `--profile`,
+//! `--trace`, `--sample-interval` or `--compare`, and a run whose trace
+//! ring dropped events exits non-zero.
+//!
+//! `--run` cross-checks pure SW, pure HW and the hybrid and prints their
+//! cycles; `--profile` prints the stall/utilization table and compiler
+//! stage timings; `--sample-interval N` prints the per-interval timeline
+//! and its phases. `--compare PATH` diffs the hybrid run against a
+//! recorded base and prints the ranked cycle-delta attribution: PATH is
+//! either a run-record directory (its `profile.json` adds the C line the
+//! regression comes from, its `timeline.json` the per-phase attribution)
+//! or a `BENCH_baseline.json` file keyed by the program's file stem.
+//!
 //! `--hw-counters` instruments the emitted Verilog with the synthesizable
-//! `twill_perf` register file (DESIGN.md §14): per-thread busy/stall/idle
-//! cycle counters and per-queue push/pop/stall counters, readable over the
-//! existing runtime interface. `--emit-regmap` writes the machine-readable
-//! register map (JSON) that describes every readback word; `--counter-dump`
-//! runs the hybrid simulation and writes the word-for-word counter dump a
-//! host would read from the hardware — decode it against the register map
-//! to recover the exact simulator metrics. Either artifact flag implies
-//! `--hw-counters`. `--metrics-text` writes the run's metrics in the
-//! Prometheus text exposition format for scrape-based dashboards.
-//!
-//! `--tune` runs the profile-guided auto-tuner (DESIGN.md §13): it
-//! searches DSWP split points and per-queue depths to minimize hybrid
-//! cycles and prints the tuning report — every accepted move names the
-//! observability signal and C line that proposed it, and the win is
-//! proved through the metrics diff engine. `--tune-report` writes the
-//! full report as JSON; `--tune-trace` writes the *search itself* as a
-//! Perfetto trace (one track per search arm, a counter track for
-//! best-so-far cycles); `--tune-seed`/`--tune-rounds` control the seeded
-//! deterministic search (same program + seed ⇒ byte-identical outputs).
-//!
-//! `--no-fast-forward` runs the simulator's naive tick-every-cycle loop
-//! instead of the event-driven fast-forward core — an escape hatch for
-//! cross-checking the two (they are observably identical by contract).
-//!
-//! `--fault-rate` injects deterministic faults (queue bit flips, drops,
-//! duplications, transient hardware-thread stalls, memory upsets) at the
-//! given per-cycle rate, seeded by `--fault-seed` (default 1) — same
-//! seed, same faults; `--watchdog` sets the no-progress window before a
-//! hung run is diagnosed into a wait-for-graph hang report; `--resilient`
-//! retries a failing hybrid with fresh seeds and degrades to pure
-//! software instead of failing.
-//!
-//! `--profile` prints the hybrid run's stall/utilization table plus
-//! compiler-stage timings; `--annotate` reprints the C source with a
-//! per-line cycles/stall-class gutter (plus the top stall sites);
-//! `--folded` writes folded-stack lines for flamegraph tooling;
-//! `--profile-json` writes the line-granular profile as JSON (feed it to
-//! a later `--compare-profile`); `--trace` writes a Chrome/Perfetto
-//! `trace_event` JSON (open at <https://ui.perfetto.dev>) with the
-//! compiler stages and the cycle-level simulator timeline; `--metrics`
-//! writes the structured metrics report as JSON; `--compare` diffs the
-//! hybrid run against the matching entry of a recorded baseline
-//! (`BENCH_baseline.json`) and prints the ranked cycle-delta attribution
-//! — add `--compare-profile` with a previously saved `--profile-json`
-//! file and the diff also names the source line the regression comes
-//! from; `--obs-ring-capacity` bounds the `--trace` event ring (default
-//! 2^20). `--strict-obs` turns observability data loss (trace
-//! truncation) into a non-zero exit instead of just a warning.
-//!
-//! `--sample-interval N` snapshots every cycle-class and queue counter
-//! each N cycles into a sampled timeline (printed as a per-interval
-//! table); `--timeline-out` writes that timeline as JSON (feed it to a
-//! later `--compare-timeline`); `--phases` segments the timeline into
-//! execution phases — runs of intervals with the same dominant
-//! stall-class signature — and names each phase's hottest C line;
-//! `--compare-timeline` with a previously saved timeline makes
-//! `--compare` attribute the cycle delta phase by phase ("the +41k
-//! cycles come from phase 2 of 5"). Timeline flags without an explicit
-//! `--sample-interval` default to one sample every 4096 cycles; a
-//! sampled `--trace` additionally carries per-thread/per-class and
-//! per-queue-occupancy counter tracks over time.
+//! `twill_perf` register file (DESIGN.md §14). `--tune` runs the
+//! profile-guided auto-tuner (DESIGN.md §13), seeded by `--tune-seed`
+//! over at most `--tune-rounds` rounds. `--fault-rate` injects seeded
+//! faults (`--fault-seed`, default 1), `--watchdog` sets the no-progress
+//! window before a hang is diagnosed, and `--resilient` retries a failing
+//! hybrid with fresh seeds before degrading to pure software.
+//! `TWILL_NO_FAST_FORWARD=1` selects the simulator's naive loop.
 
+use std::path::Path;
 use std::process::ExitCode;
+
+use twill::record::{self, Recorded, RunOptions};
 use twill::Compiler;
 
 struct Args {
@@ -92,46 +50,21 @@ struct Args {
     allow_recursion: bool,
     run: bool,
     input: Vec<i32>,
-    emit_verilog: Option<String>,
-    emit_ir: Option<String>,
     stats: bool,
     profile: bool,
-    annotate: bool,
-    folded: Option<String>,
-    profile_json: Option<String>,
-    trace: Option<String>,
-    metrics: Option<String>,
-    metrics_text: Option<String>,
     compare: Option<String>,
-    compare_profile: Option<String>,
-    compare_timeline: Option<String>,
-    sample_interval: Option<u64>,
-    timeline_out: Option<String>,
-    phases: bool,
-    ring_capacity: usize,
-    strict_obs: bool,
     fault_rate: Option<f64>,
     fault_seed: u64,
     watchdog: Option<u64>,
     resilient: bool,
-    no_fast_forward: bool,
-    hw_counters: bool,
-    emit_regmap: Option<String>,
-    counter_dump: Option<String>,
     tune: bool,
-    tune_report: Option<String>,
-    tune_trace: Option<String>,
     tune_seed: u64,
     tune_rounds: usize,
+    obs: RunOptions,
 }
 
 /// Hybrid attempts before `--resilient` degrades to pure software.
 const RESILIENT_ATTEMPTS: u32 = 3;
-
-/// Sample window when a timeline flag is used without an explicit
-/// `--sample-interval`: coarse enough to stay cheap on long runs, fine
-/// enough that CHStone-sized programs still get several intervals.
-const DEFAULT_SAMPLE_INTERVAL: u64 = 4096;
 
 /// Parse `q0=4,q1=32` (the `q` prefix is optional) into per-queue depth
 /// overrides. `None` on any malformed entry or a zero depth.
@@ -152,20 +85,11 @@ fn parse_queue_depths(list: &str) -> Option<Vec<(usize, u32)>> {
 fn usage() -> ! {
     eprintln!(
         "usage: twillc <program.c> [--partitions N] [--sw-fraction F] \
-         [--queue-depth D] [--queue-depths q0=4,q1=32] \
-         [--allow-recursion] [--run] [--input a,b,c] \
-         [--emit-verilog FILE] [--emit-ir FILE] [--stats] [--profile] \
-         [--annotate] [--folded FILE] [--profile-json FILE] \
-         [--trace FILE] [--metrics FILE] [--metrics-text FILE] \
-         [--compare BASELINE] \
-         [--compare-profile PROFILE.json] [--compare-timeline TIMELINE.json] \
-         [--sample-interval N] [--timeline-out FILE] [--phases] \
-         [--obs-ring-capacity N] \
-         [--strict-obs] [--fault-rate R] [--fault-seed N] \
-         [--watchdog CYCLES] [--resilient] [--no-fast-forward] \
-         [--hw-counters] [--emit-regmap FILE] [--counter-dump FILE] \
-         [--tune] [--tune-report FILE] [--tune-trace FILE] \
-         [--tune-seed N] [--tune-rounds N]"
+         [--queue-depth D] [--queue-depths q0=4,q1=32] [--allow-recursion] \
+         [--run] [--input a,b,c] [--stats] [--profile] [--compare PATH] \
+         [--fault-rate R] [--fault-seed N] [--watchdog CYCLES] [--resilient] \
+         [--tune] [--tune-seed N] [--tune-rounds N] {}",
+        record::USAGE
     );
     std::process::exit(2);
 }
@@ -180,40 +104,28 @@ fn parse_args() -> Args {
         allow_recursion: false,
         run: false,
         input: Vec::new(),
-        emit_verilog: None,
-        emit_ir: None,
         stats: false,
         profile: false,
-        annotate: false,
-        folded: None,
-        profile_json: None,
-        trace: None,
-        metrics: None,
-        metrics_text: None,
         compare: None,
-        compare_profile: None,
-        compare_timeline: None,
-        sample_interval: None,
-        timeline_out: None,
-        phases: false,
-        ring_capacity: 1 << 20,
-        strict_obs: false,
         fault_rate: None,
         fault_seed: 1,
         watchdog: None,
         resilient: false,
-        no_fast_forward: false,
-        hw_counters: false,
-        emit_regmap: None,
-        counter_dump: None,
         tune: false,
-        tune_report: None,
-        tune_trace: None,
         tune_seed: 0,
         tune_rounds: 4,
+        obs: RunOptions::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        match args.obs.accept(&a, &mut it) {
+            Ok(true) => continue,
+            Ok(false) => {}
+            Err(e) => {
+                eprintln!("twillc: {e}");
+                usage()
+            }
+        }
         match a.as_str() {
             "--partitions" => {
                 args.partitions = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
@@ -240,30 +152,9 @@ fn parse_args() -> Args {
                     .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
                     .collect();
             }
-            "--emit-verilog" => args.emit_verilog = Some(it.next().unwrap_or_else(|| usage())),
-            "--emit-ir" => args.emit_ir = Some(it.next().unwrap_or_else(|| usage())),
             "--stats" => args.stats = true,
             "--profile" => args.profile = true,
-            "--annotate" => args.annotate = true,
-            "--folded" => args.folded = Some(it.next().unwrap_or_else(|| usage())),
-            "--profile-json" => args.profile_json = Some(it.next().unwrap_or_else(|| usage())),
-            "--trace" => args.trace = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics" => args.metrics = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-text" => args.metrics_text = Some(it.next().unwrap_or_else(|| usage())),
             "--compare" => args.compare = Some(it.next().unwrap_or_else(|| usage())),
-            "--compare-profile" => {
-                args.compare_profile = Some(it.next().unwrap_or_else(|| usage()))
-            }
-            "--compare-timeline" => {
-                args.compare_timeline = Some(it.next().unwrap_or_else(|| usage()))
-            }
-            "--sample-interval" => {
-                args.sample_interval =
-                    Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
-            }
-            "--timeline-out" => args.timeline_out = Some(it.next().unwrap_or_else(|| usage())),
-            "--phases" => args.phases = true,
-            "--strict-obs" => args.strict_obs = true,
             "--fault-rate" => {
                 args.fault_rate =
                     Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
@@ -276,22 +167,12 @@ fn parse_args() -> Args {
                     Some(it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage()))
             }
             "--resilient" => args.resilient = true,
-            "--no-fast-forward" => args.no_fast_forward = true,
-            "--hw-counters" => args.hw_counters = true,
-            "--emit-regmap" => args.emit_regmap = Some(it.next().unwrap_or_else(|| usage())),
-            "--counter-dump" => args.counter_dump = Some(it.next().unwrap_or_else(|| usage())),
             "--tune" => args.tune = true,
-            "--tune-report" => args.tune_report = Some(it.next().unwrap_or_else(|| usage())),
-            "--tune-trace" => args.tune_trace = Some(it.next().unwrap_or_else(|| usage())),
             "--tune-seed" => {
                 args.tune_seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--tune-rounds" => {
                 args.tune_rounds = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
-            }
-            "--obs-ring-capacity" => {
-                args.ring_capacity =
-                    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
             }
             "--help" | "-h" => usage(),
             other if !other.starts_with('-') && args.source.is_none() => {
@@ -299,6 +180,10 @@ fn parse_args() -> Args {
             }
             _ => usage(),
         }
+    }
+    if let Err(e) = args.obs.check() {
+        eprintln!("twillc: {e}");
+        usage();
     }
     args
 }
@@ -313,18 +198,21 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let name = std::path::Path::new(&path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("program")
-        .to_string();
+    let name =
+        Path::new(&path).file_stem().and_then(|s| s.to_str()).unwrap_or("program").to_string();
+    let base = match args.compare.as_deref().map(|p| Recorded::load(Path::new(p), &name)) {
+        None => None,
+        Some(Ok(b)) => Some(b),
+        Some(Err(e)) => {
+            eprintln!("twillc: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
-    // Either counter artifact flag implies instrumentation.
-    let hw_counters = args.hw_counters || args.emit_regmap.is_some() || args.counter_dump.is_some();
     let mut compiler = Compiler::new()
         .partitions(args.partitions)
         .allow_recursion(args.allow_recursion)
-        .hw_counters(hw_counters);
+        .hw_counters(args.obs.hw_counters);
     if let Some(f) = args.sw_fraction {
         compiler = compiler.sw_fraction(f);
     }
@@ -358,41 +246,13 @@ fn main() -> ExitCode {
         println!("instructions per partition: {:?}", s.insts_per_partition);
     }
 
-    if let Some(f) = &args.emit_ir {
-        let text = twill_ir::printer::print_module(&build.dswp().module);
-        if let Err(e) = std::fs::write(f, text) {
-            eprintln!("twillc: cannot write {f}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("partitioned IR written to {f}");
-    }
-
-    if let Some(f) = &args.emit_verilog {
-        if let Err(e) = std::fs::write(f, build.verilog().as_bytes()) {
-            eprintln!("twillc: cannot write {f}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("hardware-thread Verilog written to {f}");
-    }
-
-    if let Some(f) = &args.emit_regmap {
-        if let Err(e) = std::fs::write(f, build.regmap_json().as_bytes()) {
-            eprintln!("twillc: cannot write {f}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("performance-counter register map written to {f}");
-    }
-
-    if args.tune || args.tune_report.is_some() || args.tune_trace.is_some() {
-        // The tuner gets the same loop-mode/watchdog knobs as the main
-        // run, but never fault injection: it optimizes the healthy
-        // machine.
+    let mut tuning = None;
+    if args.tune {
+        // The tuner gets the main run's watchdog, but never fault
+        // injection: it optimizes the healthy machine.
         let mut tune_cfg = build.sim_config();
         if let Some(w) = args.watchdog {
             tune_cfg.watchdog_window = w;
-        }
-        if args.no_fast_forward {
-            tune_cfg.fast_forward = false;
         }
         let topts = twill::TuneOptions {
             seed: args.tune_seed,
@@ -400,74 +260,41 @@ fn main() -> ExitCode {
             bench: name.clone(),
             ..Default::default()
         };
-        let outcome = match twill::tune(&build, &args.input, &tune_cfg, &topts) {
-            Ok(o) => o,
+        match twill::tune(&build, &args.input, &tune_cfg, &topts) {
+            Ok(o) => {
+                print!("{}", o.report.render_text());
+                tuning = Some(o.report);
+            }
             Err(e) => {
                 eprintln!("twillc: tuning baseline run failed: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        print!("{}", outcome.report.render_text());
-        if let Some(f) = &args.tune_report {
-            if let Err(e) = std::fs::write(f, outcome.report.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("tuning report written to {f}");
-        }
-        if let Some(f) = &args.tune_trace {
-            if let Err(e) = std::fs::write(f, outcome.report.search_trace()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "search trace written to {f} ({} trial(s)) — open at https://ui.perfetto.dev",
-                outcome.report.trials.len()
-            );
         }
     }
 
-    let line_profiling = args.annotate
-        || args.folded.is_some()
-        || args.profile_json.is_some()
-        || args.compare_profile.is_some()
-        // Phase reports name each phase's hottest C line, which needs
-        // the line-granular profile of the same run.
-        || args.phases
-        || args.compare_timeline.is_some();
-    let sampling = args.sample_interval.is_some()
-        || args.timeline_out.is_some()
-        || args.phases
-        || args.compare_timeline.is_some();
-    let observing = args.profile
-        || args.trace.is_some()
-        || args.metrics.is_some()
-        || args.metrics_text.is_some()
-        || args.counter_dump.is_some()
-        || args.compare.is_some()
-        || sampling
-        || line_profiling;
-    let mut obs_data_lost = false;
-    if args.run || observing {
-        // One hybrid run serves --run, --profile, --annotate, --folded,
-        // --trace, --metrics and --compare; the event recorder is only
-        // armed when a trace was requested, and per-instruction cycle
-        // attribution only when a line-granular view was.
+    let observing = args.run
+        || args.profile
+        || args.obs.trace
+        || args.obs.sample_interval.is_some()
+        || base.is_some();
+    let mut run = None;
+    if observing {
         let mut cfg = twill::SimulationConfig {
-            trace_events: if args.trace.is_some() { args.ring_capacity } else { 0 },
-            profile: line_profiling,
-            sample_interval: sampling
-                .then(|| args.sample_interval.unwrap_or(DEFAULT_SAMPLE_INTERVAL)),
             fault: args
                 .fault_rate
                 .map(|r| twill::FaultPlan::new(args.fault_seed, twill::FaultSpec::uniform(r))),
-            ..build.sim_config()
+            ..args.obs.sim_config(&build)
         };
         if let Some(w) = args.watchdog {
             cfg.watchdog_window = w;
         }
-        if args.no_fast_forward {
-            cfg.fast_forward = false;
+        // A recorded base's line profile and timeline are only comparable
+        // with the same observation armed on this run.
+        if let Some(b) = &base {
+            cfg.profile |= b.profile.is_some();
+            if let Some(t) = &b.timeline {
+                cfg.sample_interval = cfg.sample_interval.or(Some(t.sample_interval));
+            }
         }
         let tw = if args.resilient {
             match build.run_resilient(args.input.clone(), &cfg, RESILIENT_ATTEMPTS) {
@@ -546,196 +373,83 @@ fn main() -> ExitCode {
             );
         }
 
-        if args.sample_interval.is_some() {
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
+        if let Some(t) = tw.timeline.as_ref().filter(|_| args.obs.sample_interval.is_some()) {
             print!("{}", twill_obs::timeline_table(t));
+            if let Some(pr) = record::phases(&build, &tw) {
+                print!("{}", pr.render_text());
+            }
         }
 
-        let source_profile = tw.source_profile(&build.dswp().module);
-
-        if args.annotate {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            print!("{}", sp.annotate_source(&src));
-            println!();
-            print!("{}", sp.report(10));
+        if let Some(b) = &base {
+            compare(&build, &tw, b, &name, &path);
         }
+        run = Some(tw);
+    }
 
-        if let Some(f) = &args.folded {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            if let Err(e) = std::fs::write(f, sp.folded_stacks()) {
-                eprintln!("twillc: cannot write {f}: {e}");
+    if let Some(dir) = &args.obs.out {
+        match record::write(dir, &args.obs, &build, &src, run.as_ref(), tuning.as_ref()) {
+            Ok(files) => println!("run record written to {}: {}", dir.display(), files.join(", ")),
+            Err(e) => {
+                eprintln!("twillc: cannot write the run record to {}: {e}", dir.display());
                 return ExitCode::FAILURE;
             }
-            println!("folded stacks written to {f} (feed to flamegraph.pl / inferno)");
-        }
-
-        if let Some(f) = &args.profile_json {
-            let sp = source_profile.as_ref().expect("profiling was enabled");
-            if let Err(e) = std::fs::write(f, sp.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("line-granular profile written to {f}");
-        }
-
-        if let Some(f) = &args.compare {
-            let baseline = match twill_obs::Baseline::load(std::path::Path::new(f)) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("twillc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Some(entry) = baseline.find(&name, "hybrid") else {
-                eprintln!("twillc: no `{name} hybrid` entry in {f}");
-                return ExitCode::FAILURE;
-            };
-            // With a saved line-granular profile, name the source line
-            // the regression comes from.
-            let hint = args.compare_profile.as_ref().and_then(|pf| {
-                let text = match std::fs::read_to_string(pf) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("twillc: cannot read {pf}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                let base_profile = twill_obs::json::parse(&text)
-                    .and_then(|doc| twill_obs::SourceProfile::from_json(&doc))
-                    .unwrap_or_else(|e| {
-                        eprintln!("twillc: {pf}: {e}");
-                        std::process::exit(1);
-                    });
-                let cur = source_profile.as_ref().expect("profiling was enabled");
-                twill_obs::line_regression(&base_profile, cur)
-            });
-            let d = twill_obs::diff(&entry.metrics, &tw.metrics());
-            let label = format!("{name} hybrid");
-            if d.is_zero() {
-                println!("compare {label}: identical to baseline ({} cycles)", entry.cycles());
-            } else {
-                let file = std::path::Path::new(&path)
-                    .file_name()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or(&path);
-                print!("{}", d.render_text_with_line_hint(&label, hint.map(|(l, c)| (file, l, c))));
-            }
-        }
-
-        if let Some(tf) = &args.compare_timeline {
-            // Segment both timelines into phases and attribute the cycle
-            // delta phase by phase; the per-phase deltas sum exactly to
-            // the total because phases tile each run.
-            let text = match std::fs::read_to_string(tf) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("twillc: cannot read {tf}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let base_t = match twill_obs::json::parse(&text)
-                .and_then(|doc| twill_obs::Timeline::from_json(&doc))
-            {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("twillc: {tf}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
-            if base_t.sample_interval != t.sample_interval {
-                eprintln!(
-                    "twillc: WARN: baseline timeline sampled every {} cycles, this run \
-                     every {} — phase alignment may be coarse",
-                    base_t.sample_interval, t.sample_interval
-                );
-            }
-            let base_phases = twill_obs::segment(&base_t);
-            let mut new_phases = twill_obs::segment(t);
-            if let Some(sp) = source_profile.as_ref() {
-                new_phases.annotate(sp);
-            }
-            let cycle_delta = tw.cycles as i64 - base_t.total_cycles() as i64;
-            let deltas = twill_obs::phase_attribution(&base_phases, &new_phases);
-            if cycle_delta == 0 && deltas.iter().all(|d| d.delta == 0) {
-                println!("compare timeline: identical phase timing ({} cycles)", tw.cycles);
-            } else {
-                print!("{}", twill_obs::render_phase_attribution(&deltas, cycle_delta));
-            }
-        }
-
-        if let Some(f) = &args.trace {
-            let json = tw.trace_builder().spans(build.graph().spans()).build();
-            if let Err(e) = std::fs::write(f, json) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "Perfetto trace written to {f} ({} event(s), {} dropped) — open at https://ui.perfetto.dev",
-                tw.events.len(),
-                tw.dropped_events
-            );
-        }
-
-        if let Some(f) = &args.timeline_out {
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
-            if let Err(e) = std::fs::write(f, t.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "sampled timeline written to {f} ({} interval(s) of {} cycles)",
-                t.intervals.len(),
-                t.sample_interval
-            );
-        }
-
-        if args.phases {
-            let t = tw.timeline.as_ref().expect("sampling was enabled");
-            let mut pr = twill_obs::segment(t);
-            if let Some(sp) = source_profile.as_ref() {
-                pr.annotate(sp);
-            }
-            print!("{}", pr.render_text());
-        }
-
-        if let Some(f) = &args.metrics {
-            if let Err(e) = std::fs::write(f, tw.metrics().to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("metrics JSON written to {f}");
-        }
-
-        if let Some(f) = &args.metrics_text {
-            if let Err(e) = std::fs::write(f, tw.metrics().metrics_text()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("Prometheus text metrics written to {f}");
-        }
-
-        if let Some(f) = &args.counter_dump {
-            let dump = build.counter_bank(&tw).dump();
-            if let Err(e) = std::fs::write(f, dump.to_json()) {
-                eprintln!("twillc: cannot write {f}: {e}");
-                return ExitCode::FAILURE;
-            }
-            println!("hardware counter dump written to {f} (decode with --emit-regmap)");
-        }
-
-        if tw.dropped_events > 0 {
-            obs_data_lost = true;
-            eprintln!(
-                "twillc: WARN: trace truncated: {} event(s) dropped — \
-                 raise --obs-ring-capacity",
-                tw.dropped_events
-            );
         }
     }
-    if args.strict_obs && obs_data_lost {
-        eprintln!("twillc: --strict-obs: observability data was lost");
+    if let Some(tw) = run.as_ref().filter(|tw| tw.dropped_events > 0) {
+        eprintln!(
+            "twillc: WARN: trace truncated: {} event(s) dropped — raise --obs-ring-capacity",
+            tw.dropped_events
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+/// Print the diff of run `tw` against `base`: the ranked cycle-delta
+/// attribution (with the regressing C line when both runs have a line
+/// profile) and, for a sampled base, the per-phase attribution.
+fn compare(
+    build: &twill::TwillBuild,
+    tw: &twill_rt::SimReport,
+    base: &Recorded,
+    name: &str,
+    path: &str,
+) {
+    let current = tw.source_profile(&build.dswp().module);
+    let d = twill_obs::diff(&base.metrics, &tw.metrics());
+    let label = format!("{name} hybrid");
+    if d.is_zero() {
+        println!("compare {label}: identical to baseline ({} cycles)", base.metrics.cycles);
+    } else {
+        let hint = base
+            .profile
+            .as_ref()
+            .zip(current.as_ref())
+            .and_then(|(b, c)| twill_obs::line_regression(b, c));
+        let file = Path::new(path).file_name().and_then(|s| s.to_str()).unwrap_or(path);
+        print!("{}", d.render_text_with_line_hint(&label, hint.map(|(l, c)| (file, l, c))));
+    }
+
+    // Phases tile each run, so the per-phase deltas sum exactly to the
+    // total cycle delta.
+    let (Some(base_t), Some(t)) = (&base.timeline, &tw.timeline) else { return };
+    if base_t.sample_interval != t.sample_interval {
+        eprintln!(
+            "twillc: WARN: baseline timeline sampled every {} cycles, this run \
+             every {} — phase alignment may be coarse",
+            base_t.sample_interval, t.sample_interval
+        );
+    }
+    let base_phases = twill_obs::segment(base_t);
+    let mut new_phases = twill_obs::segment(t);
+    if let Some(sp) = current.as_ref() {
+        new_phases.annotate(sp);
+    }
+    let cycle_delta = tw.cycles as i64 - base_t.total_cycles() as i64;
+    let deltas = twill_obs::phase_attribution(&base_phases, &new_phases);
+    if cycle_delta == 0 && deltas.iter().all(|d| d.delta == 0) {
+        println!("compare timeline: identical phase timing ({} cycles)", tw.cycles);
+    } else {
+        print!("{}", twill_obs::render_phase_attribution(&deltas, cycle_delta));
+    }
 }

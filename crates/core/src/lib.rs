@@ -43,6 +43,7 @@
 
 pub mod artifacts;
 pub mod experiments;
+pub mod record;
 pub mod report;
 pub mod tune;
 
@@ -400,7 +401,7 @@ impl TwillBuild {
     }
 
     /// The machine-readable counter register-map artifact (JSON) for this
-    /// build's hybrid design — the document `twillc --emit-regmap` writes
+    /// build's hybrid design — the run record's `regmap.json`, written
     /// next to the Verilog. Available regardless of
     /// [`TwillBuild::hw_counters`] so tooling can inspect the would-be
     /// layout; cached in the graph.

@@ -82,11 +82,6 @@ pub struct TuneOutcome {
     /// the *declared* FIFO depths (so Verilog and the area model see
     /// them) and the accepted `sw_fraction` applied.
     pub compiler: Compiler,
-    /// Events dropped from the baseline run's trace ring. Always 0 unless
-    /// the caller armed tracing via `base_cfg.trace_events`; a non-zero
-    /// value means the observability data behind the tuning report is
-    /// incomplete (the `--strict-obs` signal).
-    pub dropped_events: u64,
 }
 
 /// Floor of the `sw_fraction` grid: the software master keeps only the
@@ -120,9 +115,8 @@ struct Candidate {
 /// supplies the simulation parameters (HLS options, latencies, loop
 /// mode); trials run with `profile` forced on and event tracing off —
 /// both observation-only, so trial cycle counts equal plain-run counts
-/// and the "tuned is never slower" guarantee transfers. The baseline run
-/// honors the caller's `trace_events` ring, and any truncation it suffers
-/// is reported via [`TuneOutcome::dropped_events`].
+/// and the "tuned is never slower" guarantee transfers. The baseline is
+/// the first such run.
 ///
 /// Fails only if the *baseline* run fails; trials that deadlock or time
 /// out are recorded as worthless (`u64::MAX` would lie — they are simply
@@ -141,12 +135,7 @@ pub fn tune(
     trial_cfg.profile = true;
     trial_cfg.trace_events = 0;
 
-    // The baseline run alone keeps the caller's event ring: it is the one
-    // run whose trace a caller may want to inspect, and its drop count is
-    // surfaced so truncation is never silent. Tracing is observation-only,
-    // so trial cycle counts still equal baseline cycle counts.
-    let baseline_cfg = SimConfig { trace_events: base_cfg.trace_events, ..trial_cfg.clone() };
-    let base_rep = build.simulate_hybrid_with(input.to_vec(), &baseline_cfg)?;
+    let base_rep = build.simulate_hybrid_with(input.to_vec(), &trial_cfg)?;
     let base_metrics = base_rep.metrics();
     let base_profile = base_rep.source_profile(&build.dswp().module);
 
@@ -296,7 +285,7 @@ pub fn tune(
     };
     compiler.dswp.queue_depth_overrides.extend(tuned.queue_depths.iter().copied());
 
-    Ok(TuneOutcome { report, cfg, compiler, dropped_events: base_rep.dropped_events })
+    Ok(TuneOutcome { report, cfg, compiler })
 }
 
 /// A successfully simulated trial.

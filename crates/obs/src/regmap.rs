@@ -329,7 +329,7 @@ impl RegMap {
     }
 
     /// Serialize as the machine-readable register-map artifact emitted
-    /// next to the Verilog (`--emit-regmap`). Self-describing: carries the
+    /// next to the Verilog (the run record's `regmap.json`). Self-describing: carries the
     /// readback protocol constants and the full word table.
     pub fn to_json(&self) -> String {
         let mut out = String::new();

@@ -2,11 +2,11 @@
  * line-granular profiler:
  *
  *     cargo run --release --bin twillc -- examples/hotspot.c \
- *         --partitions 2 --annotate --folded hotspot.folded
+ *         --partitions 2 --run --out hotspot
  *
- * The annotated listing shows most cycles landing on the mix loop below;
- * feed hotspot.folded to flamegraph.pl / inferno for the same picture as
- * a flamegraph. See README "find your hotspot".
+ * hotspot/annotated.c shows most cycles landing on the mix loop below;
+ * feed hotspot/folded.txt to flamegraph.pl / inferno for the same picture
+ * as a flamegraph. See README "find your hotspot".
  */
 
 int table[64];
